@@ -9,6 +9,12 @@ cargo build --release --offline --workspace
 echo "== tests =="
 cargo test -q --workspace --offline
 
+echo "== benchmark self-tests (perfbench maths, compare.py verdicts) =="
+# perfbench is its own cargo workspace, so the workspace test run above
+# does not reach it.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+python3 perfbench/test_compare.py
+
 echo "== lbsp-lint (per-file rules + taint-flow / lock-order / wire conformance) =="
 # One run drives every pass (each file is lexed once, shared across
 # passes); --json archives the findings artifact for CI diffing and the

@@ -328,8 +328,9 @@ pub struct ShardedEngine {
     /// `&self` and lock-free, so metrics never perturb batch semantics.
     obs: Arc<MetricsRegistry>,
     /// Optional durability hook: when present, every logical mutation is
-    /// journaled to the sink *before* it is applied (write-ahead), and a
-    /// compacted snapshot is installed every `snapshot_every` mutations.
+    /// journaled to the sink *before* it is applied (write-ahead), each
+    /// public call's records are committed by one fsync, and a compacted
+    /// snapshot is installed every `snapshot_every` journal records.
     /// Durability failures are fail-stop: continuing past a lost journal
     /// write would let the engine silently diverge from its log.
     durable: Option<DurableHook>,
@@ -389,8 +390,10 @@ impl ShardedEngine {
     }
 
     /// Attaches a durability sink: from now on every logical mutation is
-    /// appended to `sink` before being applied, and a compacted snapshot
-    /// is installed every `policy.snapshot_every` mutations. The caller
+    /// appended to `sink` before being applied, each public call syncs
+    /// its records once (see [`Durability::fsync`]), and a compacted
+    /// snapshot is installed every `policy.snapshot_every` journal
+    /// records. The caller
     /// (normally `lbsp-store`) is responsible for writing the leading
     /// [`JournalRecord::InitEngine`] record on a fresh log and for
     /// replaying an existing log via [`Self::apply_op`] *before*
@@ -404,32 +407,34 @@ impl ShardedEngine {
         self.durable.is_some()
     }
 
-    /// Journals one logical mutation (write-ahead: call before applying).
-    /// The closure defers building the record so the non-durable path
-    /// pays nothing. Failures are fail-stop by design.
+    /// Appends one logical mutation to the log (write-ahead: call
+    /// before applying). Only appends: the record becomes durable at the
+    /// crossing's [`Self::commit`]. The closure defers building the
+    /// record so the non-durable path pays nothing. Failures are
+    /// fail-stop by design.
     fn journal_op(&mut self, build: impl FnOnce() -> EngineOp) {
-        if self.durable.is_none() {
+        let Some(hook) = self.durable.as_mut() else {
             return;
-        }
-        let rec = JournalRecord::Op(build());
-        let hook = self.durable.as_mut().expect("durability checked above");
-        let start = Instant::now();
-        hook.append(&rec).expect("durability: WAL append failed");
-        self.obs
-            .stage(Stage::WalAppend)
-            .record_duration(start.elapsed());
-        if hook.policy().fsync {
-            let start = Instant::now();
-            hook.sync().expect("durability: WAL fsync failed");
-            self.obs
-                .stage(Stage::WalFsync)
-                .record_duration(start.elapsed());
+        };
+        hook.append(&JournalRecord::Op(build()), &self.obs)
+            .expect("durability: WAL append failed");
+    }
+
+    /// The commit step of one engine crossing: once every record the
+    /// public call logs has been appended, one `sync` makes them all
+    /// durable (none when `fsync` is off). It runs before the call
+    /// applies anything or returns, so before the caller can release the
+    /// engine lock or send a reply.
+    fn commit(&mut self) {
+        if let Some(hook) = self.durable.as_mut() {
+            hook.commit(&self.obs)
+                .expect("durability: WAL fsync failed");
         }
     }
 
     /// Installs a compacted snapshot when the policy's cadence is due.
-    /// Called *after* each mutation is applied, so the snapshot covers
-    /// the op that triggered it.
+    /// Called once per crossing, *after* every record it appended is
+    /// applied: a snapshot covers every record appended so far.
     fn maybe_snapshot(&mut self) {
         if !self.durable.as_ref().is_some_and(DurableHook::snapshot_due) {
             return;
@@ -472,6 +477,7 @@ impl ShardedEngine {
             active: true,
             profile: profile.clone(),
         });
+        self.commit();
         self.profiles.insert(id, profile);
         self.maybe_snapshot();
     }
@@ -497,6 +503,7 @@ impl ShardedEngine {
         self.journal_op(|| EngineOp::LoadPublic {
             objects: objects.clone(),
         });
+        self.commit();
         self.public_all = PublicStore::bulk_load(objects.clone());
         let mut parts: Vec<Vec<PublicObject>> = vec![Vec::new(); self.cfg.shards];
         for o in objects {
@@ -532,6 +539,37 @@ impl ShardedEngine {
         self.journal_op(|| EngineOp::UpdateBatch {
             rows: updates.to_vec(),
         });
+        self.commit();
+        let results = self.apply_updates(updates);
+        self.maybe_snapshot();
+        results
+    }
+
+    /// [`Self::process_updates`] then [`Self::take_standing_changes`] as
+    /// one engine crossing: the same two journal records in the same
+    /// order, committed by a single fsync before either is applied. A
+    /// snapshot, when due, is taken only after both, since it covers
+    /// every record appended so far.
+    pub fn process_updates_and_drain(
+        &mut self,
+        updates: &[(UserId, Point, SimTime)],
+    ) -> CloaksAndChanges {
+        self.journal_op(|| EngineOp::UpdateBatch {
+            rows: updates.to_vec(),
+        });
+        self.journal_op(|| EngineOp::TakeStandingChanges);
+        self.commit();
+        let results = self.apply_updates(updates);
+        let changed = self.drain_standing_changes();
+        self.maybe_snapshot();
+        (results, changed)
+    }
+
+    /// The three phases of [`Self::process_updates`], unjournaled.
+    fn apply_updates(
+        &mut self,
+        updates: &[(UserId, Point, SimTime)],
+    ) -> Vec<Result<CloakedUpdate, CloakError>> {
         // Coordinator pass: resolve profiles, route rows to shards, and
         // turn cross-shard moves into remove+insert pairs. Scanning in
         // input order makes duplicate-user rows settle on the row that
@@ -741,7 +779,6 @@ impl ShardedEngine {
                 .stage(Stage::StandingUpdate)
                 .record_duration(start.elapsed());
         }
-        self.maybe_snapshot();
         results
     }
 
@@ -882,6 +919,7 @@ impl ShardedEngine {
     /// order the shards (or the sequential store's hash map) iterate.
     pub fn add_standing_count(&mut self, area: Rect) -> u64 {
         self.journal_op(|| EngineOp::AddStandingCount { area });
+        self.commit();
         let mut seeds: Vec<(u64, Rect)> = Vec::new();
         for shard in &self.private {
             // Loop variable hides the receiver from the static
@@ -899,6 +937,7 @@ impl ShardedEngine {
     /// updated on objects within `radius` of me").
     pub fn add_standing_range(&mut self, user: UserId, radius: f64) -> StandingQueryId {
         self.journal_op(|| EngineOp::AddStandingRange { user, radius });
+        self.commit();
         let id = self.standing_ranges.register(user, radius);
         self.maybe_snapshot();
         id
@@ -915,6 +954,7 @@ impl ShardedEngine {
             return false;
         }
         self.journal_op(|| EngineOp::InstallStandingCount { id, area });
+        self.commit();
         let mut seeds: Vec<(u64, Rect)> = Vec::new();
         for shard in &self.private {
             // lint: lock(PrivateShard)
@@ -939,6 +979,7 @@ impl ShardedEngine {
             return false;
         }
         self.journal_op(|| EngineOp::InstallStandingRange { id, user, radius });
+        self.commit();
         let installed = self.standing_ranges.register_at(id, user, radius);
         self.maybe_snapshot();
         installed
@@ -947,6 +988,7 @@ impl ShardedEngine {
     /// Drops a standing query from the registry `kind` addresses.
     pub fn deregister_standing(&mut self, kind: StandingKind, id: u64) -> bool {
         self.journal_op(|| EngineOp::DeregisterStanding { kind, id });
+        self.commit();
         let hit = match kind {
             StandingKind::Count => self.standing_counts.deregister(id),
             StandingKind::Range => self.standing_ranges.deregister(id),
@@ -992,6 +1034,14 @@ impl ShardedEngine {
         // Draining mutates the registries' `changed` sets, so replay has
         // to drain at the same points — journal before applying.
         self.journal_op(|| EngineOp::TakeStandingChanges);
+        self.commit();
+        let out = self.drain_standing_changes();
+        self.maybe_snapshot();
+        out
+    }
+
+    /// The drain of [`Self::take_standing_changes`], unjournaled.
+    fn drain_standing_changes(&mut self) -> Vec<(StandingKind, u64)> {
         let mut out: Vec<(StandingKind, u64)> = self
             .standing_counts
             .take_changed()
@@ -1004,7 +1054,6 @@ impl ShardedEngine {
                 .into_iter()
                 .map(|id| (StandingKind::Range, id)),
         );
-        self.maybe_snapshot();
         out
     }
 
@@ -1020,6 +1069,7 @@ impl ShardedEngine {
         self.journal_op(|| EngineOp::ShadowBatch {
             rows: rows.to_vec(),
         });
+        self.commit();
         for &(id, pos, _time) in rows {
             let target = self.shard_of(pos);
             if let Some(prev) = self.owner.insert(id, target) {
@@ -1042,6 +1092,7 @@ impl ShardedEngine {
     /// this pseudonymized record deliberately cannot name.
     pub fn apply_cloak_ingest(&mut self, update: &CloakedUpdate) {
         self.journal_op(|| EngineOp::IngestCloak { update: *update });
+        self.commit();
         let region = update.region.region;
         let target = self.shard_of(region.center());
         let key = update.pseudonym.0;
@@ -1079,6 +1130,7 @@ impl ShardedEngine {
     /// the handoff frame carries one `(k, a_min, a_max)` triple.
     pub fn handoff_export(&mut self, user: UserId) -> Option<wire::HandoffMsg> {
         self.journal_op(|| EngineOp::HandoffOut { subject: user });
+        self.commit();
         let profile = self.profiles.remove(&user);
         let msg = profile.map(|p| {
             let req = p.default_requirement();
@@ -1110,6 +1162,7 @@ impl ShardedEngine {
     /// pushed, not a change).
     pub fn handoff_install(&mut self, msg: &wire::HandoffMsg) {
         self.journal_op(|| EngineOp::HandoffIn { msg: msg.clone() });
+        self.commit();
         let req = CloakRequirement {
             k: msg.k,
             a_min: msg.a_min,
@@ -1285,6 +1338,13 @@ impl ShardedEngine {
         }
     }
 }
+
+/// Per-row cloak results and the drained standing changes of one
+/// [`ShardedEngine::process_updates_and_drain`] crossing.
+pub type CloaksAndChanges = (
+    Vec<Result<CloakedUpdate, CloakError>>,
+    Vec<(StandingKind, u64)>,
+);
 
 /// Second mutation kind, for the private-store ingest phase. The
 /// leading `usize` is the input-row index the op belongs to, so the
@@ -1649,9 +1709,13 @@ mod tests {
     }
 
     /// An in-memory sink capturing the journal stream for assertions.
+    /// Cloning shares the captures, so a test keeps one handle while the
+    /// engine owns the other.
+    #[derive(Clone, Default)]
     struct VecSink {
         records: Arc<Mutex<Vec<JournalRecord>>>,
-        syncs: Arc<AtomicU64>,
+        /// Per sync, how many records had been appended when it ran.
+        syncs: Arc<Mutex<Vec<usize>>>,
         snapshots: Arc<Mutex<Vec<Vec<u8>>>>,
     }
 
@@ -1661,7 +1725,8 @@ mod tests {
             Ok(())
         }
         fn sync(&mut self) -> std::io::Result<()> {
-            self.syncs.fetch_add(1, Ordering::Relaxed);
+            let appended = self.records.lock().unwrap().len();
+            self.syncs.lock().unwrap().push(appended);
             Ok(())
         }
         fn snapshot(&mut self, state: &[u8]) -> std::io::Result<()> {
@@ -1670,22 +1735,26 @@ mod tests {
         }
     }
 
+    fn replay(log: &[JournalRecord]) -> ShardedEngine {
+        let mut replayed = engine(4);
+        for rec in log {
+            if let JournalRecord::Op(op) = rec {
+                replayed.apply_op(op);
+            }
+        }
+        replayed
+    }
+
     #[test]
     fn journaled_ops_replay_to_the_same_engine() {
-        let records = Arc::new(Mutex::new(Vec::new()));
-        let syncs = Arc::new(AtomicU64::new(0));
-        let snapshots = Arc::new(Mutex::new(Vec::new()));
+        let sink = VecSink::default();
         let mut durable = engine(2);
         durable.attach_durability(
             Durability {
                 snapshot_every: 3,
                 fsync: true,
             },
-            Box::new(VecSink {
-                records: Arc::clone(&records),
-                syncs: Arc::clone(&syncs),
-                snapshots: Arc::clone(&snapshots),
-            }),
+            Box::new(sink.clone()),
         );
         durable.process_updates(&lattice_updates(64));
         let qc = durable.add_standing_count(Rect::new_unchecked(0.2, 0.2, 0.8, 0.8));
@@ -1693,7 +1762,7 @@ mod tests {
         durable.take_standing_changes();
 
         // Every mutation hit the log, in order, and was fsynced.
-        let log = records.lock().unwrap().clone();
+        let log = sink.records.lock().unwrap().clone();
         assert_eq!(log.len(), 4);
         assert!(
             matches!(log[0], JournalRecord::Op(EngineOp::UpdateBatch { ref rows }) if rows.len() == 64)
@@ -1702,24 +1771,18 @@ mod tests {
             log[1],
             JournalRecord::Op(EngineOp::AddStandingCount { .. })
         ));
-        assert_eq!(syncs.load(Ordering::Relaxed), 4);
+        assert_eq!(*sink.syncs.lock().unwrap(), [1, 2, 3, 4]);
         // Cadence of 3: the 3rd logged mutation triggered one snapshot.
-        assert_eq!(snapshots.lock().unwrap().len(), 1);
+        assert_eq!(sink.snapshots.lock().unwrap().len(), 1);
 
         // Replaying the log on a fresh engine reproduces the state.
-        let mut replayed = engine(4);
-        for rec in &log {
-            if let JournalRecord::Op(op) = rec {
-                replayed.apply_op(op);
-            }
-        }
         assert_eq!(
-            journal::encode_engine_state(&replayed.export_state()),
+            journal::encode_engine_state(&replay(&log).export_state()),
             journal::encode_engine_state(&durable.export_state())
         );
         // ... and the snapshot taken mid-run decodes to a state that,
         // replayed forward with the remaining ops, also converges.
-        let snap = snapshots.lock().unwrap()[0].clone();
+        let snap = sink.snapshots.lock().unwrap()[0].clone();
         let snap_state = journal::decode_engine_state(&snap).unwrap();
         let mut from_snap = ShardedEngine::from_state(&snap_state, 1);
         if let JournalRecord::Op(op) = &log[3] {
@@ -1730,6 +1793,73 @@ mod tests {
             journal::encode_engine_state(&durable.export_state())
         );
         let _ = qc;
+    }
+
+    #[test]
+    fn fused_crossing_appends_both_records_then_syncs_once() {
+        let area = Rect::new_unchecked(0.2, 0.2, 0.8, 0.8);
+        let sink = VecSink::default();
+        let mut durable = engine(2);
+        durable.attach_durability(
+            Durability {
+                snapshot_every: 2,
+                fsync: true,
+            },
+            Box::new(sink.clone()),
+        );
+        let mut plain = engine(2);
+        durable.add_standing_count(area);
+        plain.add_standing_count(area);
+
+        // Same answers as the two standalone calls on an unjournaled twin.
+        let (cloaks, changed) = durable.process_updates_and_drain(&lattice_updates(48));
+        assert_eq!(cloaks, plain.process_updates(&lattice_updates(48)));
+        assert_eq!(changed, plain.take_standing_changes());
+        assert!(!changed.is_empty(), "the batch moved the standing count");
+
+        // The crossing logged the batch then its drain, and synced once,
+        // after both appends (the first sync is the registration's).
+        let log = sink.records.lock().unwrap().clone();
+        assert_eq!(log.len(), 3);
+        assert!(
+            matches!(log[1], JournalRecord::Op(EngineOp::UpdateBatch { ref rows }) if rows.len() == 48)
+        );
+        assert_eq!(log[2], JournalRecord::Op(EngineOp::TakeStandingChanges));
+        assert_eq!(*sink.syncs.lock().unwrap(), [1, 3]);
+        // The snapshot the crossing made due covers both of its records,
+        // so it was taken after the drain was applied too.
+        let snap = sink.snapshots.lock().unwrap()[0].clone();
+        assert_eq!(
+            snap,
+            journal::encode_engine_state(&durable.export_state()).to_vec()
+        );
+
+        // The standalone calls still sync once each.
+        durable.process_updates(&lattice_updates(16));
+        durable.take_standing_changes();
+        assert_eq!(*sink.syncs.lock().unwrap(), [1, 3, 4, 5]);
+
+        // Replaying the captured log reproduces the state byte for byte.
+        let log = sink.records.lock().unwrap().clone();
+        assert_eq!(
+            journal::encode_engine_state(&replay(&log).export_state()),
+            journal::encode_engine_state(&durable.export_state())
+        );
+
+        // With fsync off the same records are appended and none synced.
+        let quiet = VecSink::default();
+        let mut unsynced = engine(2);
+        unsynced.attach_durability(
+            Durability {
+                snapshot_every: 0,
+                fsync: false,
+            },
+            Box::new(quiet.clone()),
+        );
+        unsynced.add_standing_count(area);
+        unsynced.process_updates_and_drain(&lattice_updates(48));
+        assert_eq!(*quiet.records.lock().unwrap(), log[..3]);
+        assert!(quiet.syncs.lock().unwrap().is_empty());
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! network.
 
 use crate::engine::EngineConfig;
+use crate::obs::{MetricsRegistry, Stage};
 use crate::standing::{StandingRangeEntryState, StandingRangesState};
 use crate::wire::{self, StandingKind};
 use crate::UserId;
@@ -35,16 +36,22 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use lbsp_anonymizer::{CloakRequirement, CloakedUpdate, PrivacyProfile, ProfileEntry};
 use lbsp_geom::{Point, Rect, SimTime, TimeInterval, TimeOfDay, MINUTES_PER_DAY};
 use lbsp_server::{ContinuousCountState, PublicObject, StandingCountQueryState};
+use std::time::Instant;
 
 /// Durability policy: when to log and when to compact.
 #[derive(Debug, Clone, Copy)]
 pub struct Durability {
-    /// Take a compacted snapshot after this many logged mutations
-    /// (0 disables snapshotting; the log grows unboundedly).
+    /// Take a compacted snapshot after this many journal records
+    /// (0 disables snapshotting; the log grows unboundedly). Every
+    /// record counts, a standing-change drain
+    /// ([`EngineOp::TakeStandingChanges`]) included, so a network update
+    /// batch with its drain advances the cadence by two.
     pub snapshot_every: u64,
-    /// `fsync` the log after every append. Turning this off trades the
-    /// durability of the most recent ops for throughput; recovery still
-    /// restores a clean prefix either way.
+    /// `fsync` the log once per engine crossing: every record one public
+    /// engine call appends is made durable by a single `sync` before the
+    /// call returns, and so before any reply or standing delta leaves.
+    /// Turning this off trades the durability of the most recent ops for
+    /// throughput; recovery still restores a clean prefix either way.
     pub fsync: bool,
 }
 
@@ -73,11 +80,13 @@ pub trait DurabilitySink: Send {
 }
 
 /// The policy + sink pair an engine or system journals through, with
-/// the mutation counter that drives periodic snapshots.
+/// the record counter that drives periodic snapshots.
 pub struct DurableHook {
     policy: Durability,
     sink: Box<dyn DurabilitySink>,
     since_snapshot: u64,
+    /// Records appended since the last [`DurableHook::commit`].
+    unsynced: bool,
 }
 
 impl DurableHook {
@@ -87,24 +96,33 @@ impl DurableHook {
             policy,
             sink,
             since_snapshot: 0,
+            unsynced: false,
         }
     }
 
-    /// The durability policy in force.
-    pub fn policy(&self) -> Durability {
-        self.policy
-    }
-
-    /// Appends one record and counts it toward the snapshot cadence.
-    pub fn append(&mut self, rec: &JournalRecord) -> std::io::Result<()> {
+    /// Appends one record (buffered; timed as [`Stage::WalAppend`]) and
+    /// counts it toward the snapshot cadence.
+    pub fn append(&mut self, rec: &JournalRecord, obs: &MetricsRegistry) -> std::io::Result<()> {
+        let start = Instant::now();
         self.sink.append(rec)?;
+        obs.stage(Stage::WalAppend).record_duration(start.elapsed());
         self.since_snapshot = self.since_snapshot.saturating_add(1);
+        self.unsynced = true;
         Ok(())
     }
 
-    /// Forces appended records to stable storage.
-    pub fn sync(&mut self) -> std::io::Result<()> {
-        self.sink.sync()
+    /// Makes every record appended since the last commit durable with
+    /// one [`DurabilitySink::sync`] (timed as [`Stage::WalFsync`]), or
+    /// with none when nothing is pending or the policy has `fsync` off.
+    pub fn commit(&mut self, obs: &MetricsRegistry) -> std::io::Result<()> {
+        if !(self.policy.fsync && self.unsynced) {
+            return Ok(());
+        }
+        let start = Instant::now();
+        self.sink.sync()?;
+        obs.stage(Stage::WalFsync).record_duration(start.elapsed());
+        self.unsynced = false;
+        Ok(())
     }
 
     /// `true` when the policy calls for a snapshot now.
@@ -1232,10 +1250,11 @@ mod tests {
             },
             Box::new(NullSink),
         );
+        let obs = MetricsRegistry::new();
         assert!(!hook.snapshot_due());
-        hook.append(&JournalRecord::InitSystem).unwrap();
+        hook.append(&JournalRecord::InitSystem, &obs).unwrap();
         assert!(!hook.snapshot_due());
-        hook.append(&JournalRecord::InitSystem).unwrap();
+        hook.append(&JournalRecord::InitSystem, &obs).unwrap();
         assert!(hook.snapshot_due());
         hook.install_snapshot(&[]).unwrap();
         assert!(!hook.snapshot_due());
@@ -1248,7 +1267,7 @@ mod tests {
             Box::new(NullSink),
         );
         for _ in 0..10 {
-            never.append(&JournalRecord::InitSystem).unwrap();
+            never.append(&JournalRecord::InitSystem, &obs).unwrap();
         }
         assert!(!never.snapshot_due());
     }

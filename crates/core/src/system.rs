@@ -107,23 +107,13 @@ impl<A: CloakingAlgorithm> PrivacyAwareSystem<A> {
     /// fail-stop: continuing past a lost journal write would let the
     /// system silently diverge from its log.
     fn journal_op(&mut self, build: impl FnOnce() -> EngineOp) {
-        if self.durable.is_none() {
+        let Some(hook) = self.durable.as_mut() else {
             return;
-        }
-        let rec = JournalRecord::Op(build());
-        let hook = self.durable.as_mut().expect("durability checked above");
-        let start = Instant::now();
-        hook.append(&rec).expect("durability: WAL append failed");
-        self.obs
-            .stage(Stage::WalAppend)
-            .record_duration(start.elapsed());
-        if hook.policy().fsync {
-            let start = Instant::now();
-            hook.sync().expect("durability: WAL fsync failed");
-            self.obs
-                .stage(Stage::WalFsync)
-                .record_duration(start.elapsed());
-        }
+        };
+        hook.append(&JournalRecord::Op(build()), &self.obs)
+            .expect("durability: WAL append failed");
+        hook.commit(&self.obs)
+            .expect("durability: WAL fsync failed");
     }
 
     /// Re-applies one journaled mutation during recovery (before any

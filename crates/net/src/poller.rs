@@ -16,9 +16,9 @@
 //! where it stopped. Frames completed during one read sweep are
 //! collected in arrival order and processed together: contiguous runs
 //! of `EXACT_UPDATE` frames — the hot path of the paper's workload —
-//! become *one* `process_updates` engine crossing, so a single lock
-//! acquisition and one journal append amortize every update the sweep
-//! found ready (see `handle_update_batch` in the server module).
+//! become *one* `process_updates_and_drain` engine crossing, so a
+//! single lock acquisition and one WAL fsync amortize every update the
+//! sweep found ready (see `handle_update_batch` in the server module).
 //!
 //! Fairness: the read sweep starts at a rotating offset and takes at
 //! most [`FRAMES_PER_SWEEP`] frames per connection per sweep, so one

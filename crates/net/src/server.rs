@@ -11,14 +11,14 @@
 //!   nonblocking connections and run the readiness loop in
 //!   [`crate::poller`]: sweep for readable bytes, batch the ready
 //!   frames into the shared [`ShardedEngine`] (contiguous
-//!   `EXACT_UPDATE` runs become one `process_updates` crossing), and
-//!   write replies as the sockets accept them. The engine is the same
-//!   deterministic sharded engine the in-process pipeline uses, behind
-//!   one mutex — requests from one connection are processed in arrival
-//!   order, which is what makes the network path byte-identical to the
-//!   in-process path for a closed-loop client. Idle connections cost a
-//!   nonblocking read per shard sweep, not a blocked thread plus a
-//!   25 ms wakeup each.
+//!   `EXACT_UPDATE` runs become one `process_updates_and_drain`
+//!   crossing), and write replies as the sockets accept them. The
+//!   engine is the same deterministic sharded engine the in-process
+//!   pipeline uses, behind one mutex — requests from one connection are
+//!   processed in arrival order, which is what makes the network path
+//!   byte-identical to the in-process path for a closed-loop client.
+//!   Idle connections cost a nonblocking read per shard sweep, not a
+//!   blocked thread plus a 25 ms wakeup each.
 //! * **Outbound queues** — each connection's replies queue on its
 //!   shard, bounded by `outbound_bound`. A consumer that stops reading
 //!   stalls its socket write (bounded by `write_timeout`) and then its
@@ -368,7 +368,7 @@ fn subscribe(subs: &SharedSubs, conn_id: u64, key: (u8, u64)) {
 /// from one poller sweep, each tagged with the connection it arrived
 /// on — through a *single* engine crossing, and routes the results.
 ///
-/// Rows are fed to `process_updates_wire` in arrival order, so for a
+/// Rows are fed to `process_updates_and_drain` in arrival order, so for a
 /// closed-loop client (at most one update in flight per connection)
 /// the cloaked bytes are identical to processing each frame alone —
 /// a batch of one *is* the old per-frame call. A client that pipelines
@@ -376,6 +376,11 @@ fn subscribe(subs: &SharedSubs, conn_id: u64, key: (u8, u64)) {
 /// documented batch semantics: every row settles against the user's
 /// final position in the batch, exactly as the in-process pipeline's
 /// batched reference does.
+///
+/// On a durable engine the crossing appends two journal records, the
+/// `UpdateBatch` then its `TakeStandingChanges` drain, and commits both
+/// with one fsync before the engine lock is released — so before any
+/// reply or delta is emitted.
 ///
 /// Standing-query changes are captured once, after the whole batch,
 /// while the engine is still locked. Deltas for connections *in* the
@@ -412,17 +417,18 @@ pub(crate) fn handle_update_batch(
             }
         }
     }
-    // One lock, one journal append, one standing-query capture for the
-    // whole run. The wire state of every standing query the batch
-    // changed is read while the engine is still locked: a delta is
-    // exactly the state right after this batch, before any later
-    // request.
+    // One lock and one engine crossing for the whole run: the update
+    // batch and its standing-change drain are two journal records
+    // committed by one fsync, which lands before the lock is released
+    // and so before any reply or delta below leaves. The wire state of
+    // every standing query the batch changed is read while the engine
+    // is still locked: a delta is exactly the state right after this
+    // batch, before any later request.
     let (out, deltas) = if rows.is_empty() {
         (Vec::new(), Vec::new())
     } else {
         let mut eng = engine.lock();
-        let out = eng.process_updates_wire(&rows);
-        let changed = eng.take_standing_changes();
+        let (out, changed) = eng.process_updates_and_drain(&rows);
         let mut deltas: Vec<((u8, u64), Vec<u8>)> = Vec::with_capacity(changed.len());
         for (kind, id) in changed {
             if let Some(state) = eng.standing_state(kind, id) {
@@ -458,7 +464,10 @@ pub(crate) fn handle_update_batch(
     for (cid, decoded) in slots {
         let reply: Outbound = if decoded {
             match results.next() {
-                Some(Ok(bytes)) => (wire::tag::CLOAKED_UPDATE, bytes.to_vec()),
+                Some(Ok(update)) => (
+                    wire::tag::CLOAKED_UPDATE,
+                    wire::encode_cloaked_update(&update).to_vec(),
+                ),
                 Some(Err(e)) => (wire::tag::ERROR, e.to_string().into_bytes()),
                 None => (
                     wire::tag::ERROR,

@@ -1,5 +1,6 @@
 //! Property test: arbitrary interleavings of registrations, update
-//! batches, standing-query churn, and snapshot installs, crashed at an
+//! batches (alone or fused with their standing-change drain),
+//! standing-query churn, and snapshot installs, crashed at an
 //! arbitrary point, replay to exactly the state of an engine that never
 //! crashed.
 //!
@@ -35,6 +36,11 @@ enum TestOp {
         rows: Vec<(u64, f64, f64)>,
         secs: f64,
     },
+    /// An update batch and its standing-change drain as one crossing.
+    UpdatesAndDrain {
+        rows: Vec<(u64, f64, f64)>,
+        secs: f64,
+    },
     LoadPublic {
         n: u32,
     },
@@ -64,11 +70,10 @@ fn apply(engine: &mut ShardedEngine, issued: &mut Vec<(StandingKind, u64)>, op: 
             engine.register(*id, profile);
         }
         TestOp::Updates { rows, secs } => {
-            let batch: Vec<(UserId, Point, SimTime)> = rows
-                .iter()
-                .map(|&(id, x, y)| (id, Point::new(x, y), SimTime::from_secs(*secs)))
-                .collect();
-            engine.process_updates(&batch);
+            engine.process_updates(&batch(rows, *secs));
+        }
+        TestOp::UpdatesAndDrain { rows, secs } => {
+            engine.process_updates_and_drain(&batch(rows, *secs));
         }
         TestOp::LoadPublic { n } => {
             let objects: Vec<PublicObject> = (0..*n as u64)
@@ -108,6 +113,12 @@ fn apply(engine: &mut ShardedEngine, issued: &mut Vec<(StandingKind, u64)>, op: 
     }
 }
 
+fn batch(rows: &[(u64, f64, f64)], secs: f64) -> Vec<(UserId, Point, SimTime)> {
+    rows.iter()
+        .map(|&(id, x, y)| (id, Point::new(x, y), SimTime::from_secs(secs)))
+        .collect()
+}
+
 fn world() -> Rect {
     Rect::new_unchecked(0.0, 0.0, 1.0, 1.0)
 }
@@ -118,7 +129,7 @@ fn state_bytes(engine: &ShardedEngine) -> bytes::Bytes {
 
 prop_compose! {
     fn test_op()(
-        kind in 0u8..8,
+        kind in 0u8..9,
         id in 0u64..16,
         k in 1u32..6,
         rows in prop::collection::vec((0u64..16, 0.0f64..1.0, 0.0f64..1.0), 1..16),
@@ -132,7 +143,8 @@ prop_compose! {
     ) -> TestOp {
         match kind {
             0 => TestOp::Register { id, k },
-            1..=3 => TestOp::Updates { rows, secs },
+            1..=2 => TestOp::Updates { rows, secs },
+            3 | 8 => TestOp::UpdatesAndDrain { rows, secs },
             4 => TestOp::LoadPublic { n },
             5 => TestOp::StandingCount { cx, cy, half },
             6 => TestOp::StandingRange { user: id, radius },
@@ -143,7 +155,7 @@ prop_compose! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn crash_at_any_point_replays_to_the_uninterrupted_state(

@@ -7,20 +7,25 @@
 //! that reached the log (journal-then-apply means the record is
 //! durable) but whose effects never landed in memory. Recovery must
 //! apply it; dropping it would silently lose acknowledged work.
+//!
+//! A durable network server is also pinned to one WAL fsync per update
+//! request, and its log must bring back the same answers on restart.
 
 use privacy_lbs::anonymizer::{CloakRequirement, PrivacyProfile, QuadCloak};
 use privacy_lbs::geom::{Point, Rect, SimTime};
+use privacy_lbs::net::{NetClient, NetConfig, NetServer, Reply};
 use privacy_lbs::server::PublicObject;
 use privacy_lbs::store::{open_engine, open_system, recover_engine, Wal};
 use privacy_lbs::system::journal;
 use privacy_lbs::system::wire::{self, StandingKind};
 use privacy_lbs::system::{
     Durability, EngineConfig, EngineOp, JournalRecord, MobileUser, PrivacyAwareSystem,
-    ShardedEngine, UserId,
+    ShardedEngine, Stage, UserId,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------
 // Test hygiene: every run gets its own scratch directory, cleaned up by
@@ -307,4 +312,91 @@ fn full_system_replays_through_open_system() {
         assert_eq!(a.is_ok(), b.is_ok(), "user {id} post-recovery update");
         assert_eq!(a.ok(), b.ok(), "user {id} post-recovery cloak");
     }
+}
+
+/// Completed WAL fsyncs, as a STATS scrape reports them.
+fn scraped_wal_fsyncs(client: &mut NetClient) -> u64 {
+    let Reply::Stats(bytes) = client.stats().expect("stats round trip") else {
+        panic!("scrape did not return a stats snapshot");
+    };
+    let snapshot = wire::decode_stats_snapshot(&bytes).expect("decodable snapshot");
+    let slot = Stage::ALL
+        .iter()
+        .position(|&s| s == Stage::WalFsync)
+        .expect("wal_fsync is a stage");
+    snapshot.stages[slot].count
+}
+
+/// Replies of a fixed set of private range queries.
+fn probe_replies(client: &mut NetClient) -> Vec<Vec<u8>> {
+    (0..8u64)
+        .map(|user| {
+            match client
+                .range_query(user * 4, 0.25, SimTime::from_secs(40.0))
+                .expect("probe round trip")
+            {
+                Reply::Candidates(bytes) => bytes,
+                other => panic!("probe for user {}: {other:?}", user * 4),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn durable_server_fsyncs_once_per_update_and_recovers_identically() {
+    const UPDATES: u64 = 40;
+    let dir = TempDir::new("net");
+    let bind = || {
+        NetServer::bind_durable(
+            "127.0.0.1:0",
+            dir.path(),
+            EngineConfig::new(world()),
+            2,
+            Durability::default(),
+            NetConfig::with_workers(1),
+        )
+        .expect("durable server")
+    };
+    let connect = |server: &NetServer| {
+        let client = NetClient::connect(server.local_addr()).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        client
+    };
+
+    let (server, report) = bind();
+    assert!(!report.recovered);
+    let mut client = connect(&server);
+    for i in 0..32u64 {
+        let reply = client
+            .register(i, 3 + (i % 3) as u32, 0.0, f64::INFINITY)
+            .expect("register round trip");
+        assert_eq!(reply, Reply::Ok);
+    }
+    // A standing count this connection subscribes to, so each update
+    // batch also drains standing changes.
+    let reply = client
+        .register_standing_count(Rect::new_unchecked(0.15, 0.15, 0.85, 0.85))
+        .expect("standing round trip");
+    assert!(matches!(reply, Reply::StandingRegistered(_)), "{reply:?}");
+
+    // One update in flight at a time: every request is its own engine
+    // crossing, and each crossing is one fsync, drain included.
+    let before = scraped_wal_fsyncs(&mut client);
+    for (id, p, t) in wave(UPDATES, 5) {
+        let reply = client.update(id, p, t).expect("update round trip");
+        assert!(matches!(reply, Reply::Cloaked(_)), "{reply:?}");
+    }
+    assert_eq!(scraped_wal_fsyncs(&mut client) - before, UPDATES);
+    let probes = probe_replies(&mut client);
+    drop(client);
+    drop(server.shutdown());
+
+    // Restart on the same directory: same users, same answers.
+    let (server, report) = bind();
+    assert!(report.recovered);
+    assert_eq!(report.users, 32);
+    let mut client = connect(&server);
+    assert_eq!(probe_replies(&mut client), probes);
 }
