@@ -61,14 +61,18 @@ for _ in $(seq 1 50); do
   sleep 0.1
 done
 grep -q "wal: initialized fresh log" /tmp/lbsp_wal_boot1.txt
-# Drive the closed-loop workload and pull the plug mid-run: SIGKILL,
-# no drain, no flush beyond what the WAL already fsynced.
+# Drive the closed-loop workload from two clients at once, so commits
+# from two poller shards overlap (one shard's fsync runs while the
+# other holds the engine lock), and pull the plug mid-run: SIGKILL, no
+# drain, no flush beyond what the WAL already fsynced.
 ./target/release/repro --connect 127.0.0.1:7643 >/dev/null 2>&1 &
 LOAD_PID=$!
+./target/release/repro --connect 127.0.0.1:7643 >/dev/null 2>&1 &
+LOAD2_PID=$!
 sleep 1
 kill -9 "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
-wait "$LOAD_PID" 2>/dev/null || true
+wait "$LOAD_PID" "$LOAD2_PID" 2>/dev/null || true
 # Restart on the same directory: recovery must report the journaled
 # users and the server must come back alive.
 ./target/release/repro --serve 127.0.0.1:7643 --wal-dir "$WAL_DIR" >/tmp/lbsp_wal_boot2.txt &

@@ -37,6 +37,7 @@
 //!
 //! [hub]: lbsp_anonymizer::LocationAnonymizer::handle_updates_batch
 
+use crate::group_commit::CommitTicket;
 use crate::journal::{
     self, Durability, DurabilitySink, DurableHook, EngineOp, EngineState, JournalRecord,
 };
@@ -329,7 +330,8 @@ pub struct ShardedEngine {
     obs: Arc<MetricsRegistry>,
     /// Optional durability hook: when present, every logical mutation is
     /// journaled to the sink *before* it is applied (write-ahead), each
-    /// public call's records are committed by one fsync, and a compacted
+    /// public call returns only once its records are durable (one sync
+    /// at most, through the hook's group-commit point), and a compacted
     /// snapshot is installed every `snapshot_every` journal records.
     /// Durability failures are fail-stop: continuing past a lost journal
     /// write would let the engine silently diverge from its log.
@@ -390,14 +392,14 @@ impl ShardedEngine {
     }
 
     /// Attaches a durability sink: from now on every logical mutation is
-    /// appended to `sink` before being applied, each public call syncs
-    /// its records once (see [`Durability::fsync`]), and a compacted
-    /// snapshot is installed every `policy.snapshot_every` journal
-    /// records. The caller
-    /// (normally `lbsp-store`) is responsible for writing the leading
-    /// [`JournalRecord::InitEngine`] record on a fresh log and for
-    /// replaying an existing log via [`Self::apply_op`] *before*
-    /// attaching, so recovery ops are not re-journaled.
+    /// appended to `sink` before being applied, each public call waits
+    /// until its records are durable (see [`Durability::fsync`]), and a
+    /// compacted snapshot is installed every `policy.snapshot_every`
+    /// journal records. The caller (normally `lbsp-store`) is
+    /// responsible for writing the leading [`JournalRecord::InitEngine`]
+    /// record on a fresh log and for replaying an existing log via
+    /// [`Self::apply_op`] *before* attaching, so recovery ops are not
+    /// re-journaled.
     pub fn attach_durability(&mut self, policy: Durability, sink: Box<dyn DurabilitySink>) {
         self.durable = Some(DurableHook::new(policy, sink));
     }
@@ -408,10 +410,10 @@ impl ShardedEngine {
     }
 
     /// Appends one logical mutation to the log (write-ahead: call
-    /// before applying). Only appends: the record becomes durable at the
-    /// crossing's [`Self::commit`]. The closure defers building the
-    /// record so the non-durable path pays nothing. Failures are
-    /// fail-stop by design.
+    /// before applying). Only appends: the record becomes durable when
+    /// the crossing waits on its [`CommitTicket`]. The closure defers
+    /// building the record so the non-durable path pays nothing.
+    /// Failures are fail-stop by design.
     fn journal_op(&mut self, build: impl FnOnce() -> EngineOp) {
         let Some(hook) = self.durable.as_mut() else {
             return;
@@ -420,16 +422,22 @@ impl ShardedEngine {
             .expect("durability: WAL append failed");
     }
 
-    /// The commit step of one engine crossing: once every record the
-    /// public call logs has been appended, one `sync` makes them all
-    /// durable (none when `fsync` is off). It runs before the call
-    /// applies anything or returns, so before the caller can release the
-    /// engine lock or send a reply.
+    /// The last step of every public mutating call, once its records
+    /// are applied: a snapshot when one is due, then a wait until every
+    /// record appended so far is durable (no sync when `fsync` is off).
+    /// An in-process caller therefore never sees a result whose records
+    /// a crash could lose; [`Self::stage_updates_and_drain`] leaves the
+    /// wait to a caller that first releases the engine lock.
     fn commit(&mut self) {
-        if let Some(hook) = self.durable.as_mut() {
-            hook.commit(&self.obs)
-                .expect("durability: WAL fsync failed");
-        }
+        self.maybe_snapshot();
+        self.commit_ticket().wait_durable(&self.obs);
+    }
+
+    /// The ticket for every record appended so far. A reply built from
+    /// the engine's current state waits on it, after the engine lock is
+    /// released, so it never shows state a crash could take back.
+    pub fn commit_ticket(&self) -> CommitTicket {
+        CommitTicket::new(self.durable.as_ref().and_then(DurableHook::commit_point))
     }
 
     /// Installs a compacted snapshot when the policy's cadence is due.
@@ -477,9 +485,8 @@ impl ShardedEngine {
             active: true,
             profile: profile.clone(),
         });
-        self.commit();
         self.profiles.insert(id, profile);
-        self.maybe_snapshot();
+        self.commit();
     }
 
     /// Number of registered users.
@@ -503,7 +510,6 @@ impl ShardedEngine {
         self.journal_op(|| EngineOp::LoadPublic {
             objects: objects.clone(),
         });
-        self.commit();
         self.public_all = PublicStore::bulk_load(objects.clone());
         let mut parts: Vec<Vec<PublicObject>> = vec![Vec::new(); self.cfg.shards];
         for o in objects {
@@ -512,7 +518,7 @@ impl ShardedEngine {
         for (shard, part) in self.public.iter().zip(parts) {
             *shard.write() = PublicStore::bulk_load(part);
         }
-        self.maybe_snapshot();
+        self.commit();
     }
 
     /// Stable pseudonym for a user — the same keyed splitmix64 bijection
@@ -539,30 +545,41 @@ impl ShardedEngine {
         self.journal_op(|| EngineOp::UpdateBatch {
             rows: updates.to_vec(),
         });
-        self.commit();
         let results = self.apply_updates(updates);
-        self.maybe_snapshot();
+        self.commit();
         results
     }
 
     /// [`Self::process_updates`] then [`Self::take_standing_changes`] as
     /// one engine crossing: the same two journal records in the same
-    /// order, committed by a single fsync before either is applied. A
-    /// snapshot, when due, is taken only after both, since it covers
-    /// every record appended so far.
+    /// order, made durable by a single sync before this returns.
     pub fn process_updates_and_drain(
         &mut self,
         updates: &[(UserId, Point, SimTime)],
     ) -> CloaksAndChanges {
+        let (out, ticket) = self.stage_updates_and_drain(updates);
+        ticket.wait_durable(&self.obs);
+        out
+    }
+
+    /// The stage step of [`Self::process_updates_and_drain`], for a
+    /// caller that releases the engine lock before waiting: appends the
+    /// `UpdateBatch` and `TakeStandingChanges` records, applies both,
+    /// takes a snapshot when one is due (only after both, since it
+    /// covers every record appended so far), and returns the results
+    /// with the ticket their replies must wait on.
+    pub fn stage_updates_and_drain(
+        &mut self,
+        updates: &[(UserId, Point, SimTime)],
+    ) -> (CloaksAndChanges, CommitTicket) {
         self.journal_op(|| EngineOp::UpdateBatch {
             rows: updates.to_vec(),
         });
         self.journal_op(|| EngineOp::TakeStandingChanges);
-        self.commit();
         let results = self.apply_updates(updates);
         let changed = self.drain_standing_changes();
         self.maybe_snapshot();
-        (results, changed)
+        ((results, changed), self.commit_ticket())
     }
 
     /// The three phases of [`Self::process_updates`], unjournaled.
@@ -919,7 +936,6 @@ impl ShardedEngine {
     /// order the shards (or the sequential store's hash map) iterate.
     pub fn add_standing_count(&mut self, area: Rect) -> u64 {
         self.journal_op(|| EngineOp::AddStandingCount { area });
-        self.commit();
         let mut seeds: Vec<(u64, Rect)> = Vec::new();
         for shard in &self.private {
             // Loop variable hides the receiver from the static
@@ -929,7 +945,7 @@ impl ShardedEngine {
             seeds.extend(store.iter().map(|r| (r.pseudonym, r.region)));
         }
         let id = self.standing_counts.register(area, seeds);
-        self.maybe_snapshot();
+        self.commit();
         id
     }
 
@@ -937,9 +953,8 @@ impl ShardedEngine {
     /// updated on objects within `radius` of me").
     pub fn add_standing_range(&mut self, user: UserId, radius: f64) -> StandingQueryId {
         self.journal_op(|| EngineOp::AddStandingRange { user, radius });
-        self.commit();
         let id = self.standing_ranges.register(user, radius);
-        self.maybe_snapshot();
+        self.commit();
         id
     }
 
@@ -954,7 +969,6 @@ impl ShardedEngine {
             return false;
         }
         self.journal_op(|| EngineOp::InstallStandingCount { id, area });
-        self.commit();
         let mut seeds: Vec<(u64, Rect)> = Vec::new();
         for shard in &self.private {
             // lint: lock(PrivateShard)
@@ -962,7 +976,7 @@ impl ShardedEngine {
             seeds.extend(store.iter().map(|r| (r.pseudonym, r.region)));
         }
         let installed = self.standing_counts.register_at(id, area, seeds);
-        self.maybe_snapshot();
+        self.commit();
         installed
     }
 
@@ -979,21 +993,19 @@ impl ShardedEngine {
             return false;
         }
         self.journal_op(|| EngineOp::InstallStandingRange { id, user, radius });
-        self.commit();
         let installed = self.standing_ranges.register_at(id, user, radius);
-        self.maybe_snapshot();
+        self.commit();
         installed
     }
 
     /// Drops a standing query from the registry `kind` addresses.
     pub fn deregister_standing(&mut self, kind: StandingKind, id: u64) -> bool {
         self.journal_op(|| EngineOp::DeregisterStanding { kind, id });
-        self.commit();
         let hit = match kind {
             StandingKind::Count => self.standing_counts.deregister(id),
             StandingKind::Range => self.standing_ranges.deregister(id),
         };
-        self.maybe_snapshot();
+        self.commit();
         hit
     }
 
@@ -1034,9 +1046,8 @@ impl ShardedEngine {
         // Draining mutates the registries' `changed` sets, so replay has
         // to drain at the same points — journal before applying.
         self.journal_op(|| EngineOp::TakeStandingChanges);
-        self.commit();
         let out = self.drain_standing_changes();
-        self.maybe_snapshot();
+        self.commit();
         out
     }
 
@@ -1069,7 +1080,6 @@ impl ShardedEngine {
         self.journal_op(|| EngineOp::ShadowBatch {
             rows: rows.to_vec(),
         });
-        self.commit();
         for &(id, pos, _time) in rows {
             let target = self.shard_of(pos);
             if let Some(prev) = self.owner.insert(id, target) {
@@ -1079,7 +1089,7 @@ impl ShardedEngine {
             }
             self.anon[target].write().insert(id, pos);
         }
-        self.maybe_snapshot();
+        self.commit();
     }
 
     /// Cluster mirror: ingests the owning node's cloaked reply — phase
@@ -1092,7 +1102,6 @@ impl ShardedEngine {
     /// this pseudonymized record deliberately cannot name.
     pub fn apply_cloak_ingest(&mut self, update: &CloakedUpdate) {
         self.journal_op(|| EngineOp::IngestCloak { update: *update });
-        self.commit();
         let region = update.region.region;
         let target = self.shard_of(region.center());
         let key = update.pseudonym.0;
@@ -1117,7 +1126,7 @@ impl ShardedEngine {
             self.obs.standing_fanout().record(fan as f64);
             let _ = self.standing_counts.take_changed();
         }
-        self.maybe_snapshot();
+        self.commit();
     }
 
     /// Cluster handoff, outbound: extracts `user`'s single-copy state —
@@ -1130,7 +1139,6 @@ impl ShardedEngine {
     /// the handoff frame carries one `(k, a_min, a_max)` triple.
     pub fn handoff_export(&mut self, user: UserId) -> Option<wire::HandoffMsg> {
         self.journal_op(|| EngineOp::HandoffOut { subject: user });
-        self.commit();
         let profile = self.profiles.remove(&user);
         let msg = profile.map(|p| {
             let req = p.default_requirement();
@@ -1149,7 +1157,7 @@ impl ShardedEngine {
                 ranges: self.standing_ranges.queries_of(user),
             }
         });
-        self.maybe_snapshot();
+        self.commit();
         msg
     }
 
@@ -1162,7 +1170,6 @@ impl ShardedEngine {
     /// pushed, not a change).
     pub fn handoff_install(&mut self, msg: &wire::HandoffMsg) {
         self.journal_op(|| EngineOp::HandoffIn { msg: msg.clone() });
-        self.commit();
         let req = CloakRequirement {
             k: msg.k,
             a_min: msg.a_min,
@@ -1175,7 +1182,7 @@ impl ShardedEngine {
             self.standing_ranges
                 .install(id, msg.cloak, seq, &self.public_all);
         }
-        self.maybe_snapshot();
+        self.commit();
     }
 
     /// Cluster rejoin, donor side: dumps the two replicated planes —
@@ -1405,6 +1412,7 @@ fn cloak_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group_commit::LogSync;
     use lbsp_anonymizer::{GridCloak, LocationAnonymizer};
     use std::sync::Mutex;
 
@@ -1724,13 +1732,19 @@ mod tests {
             self.records.lock().unwrap().push(rec.clone());
             Ok(())
         }
-        fn sync(&mut self) -> std::io::Result<()> {
-            let appended = self.records.lock().unwrap().len();
-            self.syncs.lock().unwrap().push(appended);
-            Ok(())
+        fn syncer(&self) -> Box<dyn LogSync> {
+            Box::new(self.clone())
         }
         fn snapshot(&mut self, state: &[u8]) -> std::io::Result<()> {
             self.snapshots.lock().unwrap().push(state.to_vec());
+            Ok(())
+        }
+    }
+
+    impl LogSync for VecSink {
+        fn sync(&mut self) -> std::io::Result<()> {
+            let appended = self.records.lock().unwrap().len();
+            self.syncs.lock().unwrap().push(appended);
             Ok(())
         }
     }
@@ -1860,6 +1874,62 @@ mod tests {
         unsynced.process_updates_and_drain(&lattice_updates(48));
         assert_eq!(*quiet.records.lock().unwrap(), log[..3]);
         assert!(quiet.syncs.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn concurrent_crossings_wait_through_one_group_commit() {
+        const N: usize = 8;
+        for fsync in [true, false] {
+            let sink = VecSink::default();
+            let mut durable = engine(2);
+            durable.attach_durability(
+                Durability {
+                    snapshot_every: 0,
+                    fsync,
+                },
+                Box::new(sink.clone()),
+            );
+            durable.process_updates(&lattice_updates(64));
+            let before = sink.syncs.lock().unwrap().len();
+            let shared = Arc::new(TrackedMutex::new(LockRank::Engine, durable));
+            let start = Arc::new(std::sync::Barrier::new(N));
+            let threads: Vec<_> = (0..N as u64)
+                .map(|t| {
+                    let (shared, start, sink) =
+                        (Arc::clone(&shared), Arc::clone(&start), sink.clone());
+                    std::thread::spawn(move || {
+                        let row = [(t, Point::new(0.1 * t as f64, 0.5), SimTime::ZERO)];
+                        start.wait();
+                        // Stage under the lock, then wait without it.
+                        let (ticket, pos, obs) = {
+                            let mut eng = shared.lock();
+                            let (_, ticket) = eng.stage_updates_and_drain(&row);
+                            let pos = sink.records.lock().unwrap().len();
+                            (ticket, pos, Arc::clone(eng.metrics_registry()))
+                        };
+                        ticket.wait_durable(&obs);
+                        let covered = sink.syncs.lock().unwrap().iter().copied().max();
+                        (pos, covered)
+                    })
+                })
+                .collect();
+            for t in threads {
+                let (pos, covered) = t.join().unwrap();
+                if fsync {
+                    assert!(
+                        covered >= Some(pos),
+                        "wait returned at {covered:?} before its position {pos} was synced"
+                    );
+                }
+            }
+            let syncs = sink.syncs.lock().unwrap().len() - before;
+            assert_eq!(sink.records.lock().unwrap().len(), 1 + 2 * N);
+            if fsync {
+                assert!((1..=N).contains(&syncs), "{syncs} syncs for {N} crossings");
+            } else {
+                assert_eq!(syncs, 0);
+            }
+        }
     }
 
     #[test]

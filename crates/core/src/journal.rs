@@ -28,6 +28,7 @@
 //! network.
 
 use crate::engine::EngineConfig;
+use crate::group_commit::{GroupCommit, LogSync};
 use crate::obs::{MetricsRegistry, Stage};
 use crate::standing::{StandingRangeEntryState, StandingRangesState};
 use crate::wire::{self, StandingKind};
@@ -36,6 +37,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use lbsp_anonymizer::{CloakRequirement, CloakedUpdate, PrivacyProfile, ProfileEntry};
 use lbsp_geom::{Point, Rect, SimTime, TimeInterval, TimeOfDay, MINUTES_PER_DAY};
 use lbsp_server::{ContinuousCountState, PublicObject, StandingCountQueryState};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Durability policy: when to log and when to compact.
@@ -47,10 +49,13 @@ pub struct Durability {
     /// ([`EngineOp::TakeStandingChanges`]) included, so a network update
     /// batch with its drain advances the cadence by two.
     pub snapshot_every: u64,
-    /// `fsync` the log once per engine crossing: every record one public
-    /// engine call appends is made durable by a single `sync` before the
-    /// call returns, and so before any reply or standing delta leaves.
-    /// Turning this off trades the durability of the most recent ops for
+    /// `fsync` the log before results leave: a public engine call
+    /// returns only once every record it appended is durable, and a
+    /// network reply or standing delta leaves only once every record
+    /// behind the state it reflects is. The sync runs after the engine
+    /// lock is released, through one [`crate::group_commit`] point, so
+    /// one caller's sync overlaps the next caller's engine work. Turning
+    /// this off trades the durability of the most recent ops for
     /// throughput; recovery still restores a clean prefix either way.
     pub fsync: bool,
 }
@@ -67,62 +72,62 @@ impl Default for Durability {
 /// Where journal records go. Implemented by `lbsp-store`'s WAL; tests
 /// inject in-memory or failing sinks.
 pub trait DurabilitySink: Send {
-    /// Appends one record to the log (buffered; durable after
-    /// [`DurabilitySink::sync`] at the latest).
+    /// Appends one record to the log (buffered; durable once a
+    /// [`LogSync::sync`] on the current file has run after it).
     fn append(&mut self, rec: &JournalRecord) -> std::io::Result<()>;
 
-    /// Forces appended records to stable storage.
-    fn sync(&mut self) -> std::io::Result<()>;
+    /// A handle that syncs the file appends currently go to, usable
+    /// without this sink (and so without the engine lock).
+    fn syncer(&self) -> Box<dyn LogSync>;
 
     /// Installs a compacted snapshot covering every op appended so far;
-    /// the sink may discard fully-covered log segments afterwards.
+    /// the sink may discard fully-covered log segments afterwards. Every
+    /// record appended before it is durable when this returns, so later
+    /// appends may go to a new file (with a new [`Self::syncer`]).
     fn snapshot(&mut self, state: &[u8]) -> std::io::Result<()>;
 }
 
 /// The policy + sink pair an engine or system journals through, with
-/// the record counter that drives periodic snapshots.
+/// the record counter that drives periodic snapshots and the
+/// group-commit point appends are made durable through.
 pub struct DurableHook {
     policy: Durability,
     sink: Box<dyn DurabilitySink>,
     since_snapshot: u64,
-    /// Records appended since the last [`DurableHook::commit`].
-    unsynced: bool,
+    /// `None` when the policy has `fsync` off: nothing ever syncs.
+    commit: Option<Arc<GroupCommit>>,
 }
 
 impl DurableHook {
     /// Creates a hook from a policy and a sink.
     pub fn new(policy: Durability, sink: Box<dyn DurabilitySink>) -> DurableHook {
+        let commit = policy
+            .fsync
+            .then(|| Arc::new(GroupCommit::new(sink.syncer())));
         DurableHook {
             policy,
             sink,
             since_snapshot: 0,
-            unsynced: false,
+            commit,
         }
     }
 
     /// Appends one record (buffered; timed as [`Stage::WalAppend`]) and
-    /// counts it toward the snapshot cadence.
+    /// counts it toward the snapshot cadence and the commit position.
     pub fn append(&mut self, rec: &JournalRecord, obs: &MetricsRegistry) -> std::io::Result<()> {
         let start = Instant::now();
         self.sink.append(rec)?;
         obs.stage(Stage::WalAppend).record_duration(start.elapsed());
         self.since_snapshot = self.since_snapshot.saturating_add(1);
-        self.unsynced = true;
+        if let Some(commit) = &self.commit {
+            commit.note_append();
+        }
         Ok(())
     }
 
-    /// Makes every record appended since the last commit durable with
-    /// one [`DurabilitySink::sync`] (timed as [`Stage::WalFsync`]), or
-    /// with none when nothing is pending or the policy has `fsync` off.
-    pub fn commit(&mut self, obs: &MetricsRegistry) -> std::io::Result<()> {
-        if !(self.policy.fsync && self.unsynced) {
-            return Ok(());
-        }
-        let start = Instant::now();
-        self.sink.sync()?;
-        obs.stage(Stage::WalFsync).record_duration(start.elapsed());
-        self.unsynced = false;
-        Ok(())
+    /// The group-commit point, or `None` with `fsync` off.
+    pub(crate) fn commit_point(&self) -> Option<&Arc<GroupCommit>> {
+        self.commit.as_ref()
     }
 
     /// `true` when the policy calls for a snapshot now.
@@ -130,9 +135,16 @@ impl DurableHook {
         self.policy.snapshot_every > 0 && self.since_snapshot >= self.policy.snapshot_every
     }
 
-    /// Installs a snapshot and resets the cadence counter.
+    /// Installs a snapshot, points the commit at the file appends go to
+    /// next, and resets the cadence counter. The swap happens even when
+    /// the install failed part-way, after the sink may have rotated:
+    /// later syncs must reach whatever file later appends go to.
     pub fn install_snapshot(&mut self, state: &[u8]) -> std::io::Result<()> {
-        self.sink.snapshot(state)?;
+        let installed = self.sink.snapshot(state);
+        if let Some(commit) = &self.commit {
+            commit.swap_log(self.sink.syncer());
+        }
+        installed?;
         self.since_snapshot = 0;
         Ok(())
     }
@@ -143,6 +155,7 @@ impl std::fmt::Debug for DurableHook {
         f.debug_struct("DurableHook")
             .field("policy", &self.policy)
             .field("since_snapshot", &self.since_snapshot)
+            .field("commit", &self.commit)
             .finish()
     }
 }
@@ -1232,12 +1245,17 @@ mod tests {
     #[test]
     fn durable_hook_counts_toward_snapshots() {
         struct NullSink;
+        impl LogSync for NullSink {
+            fn sync(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
         impl DurabilitySink for NullSink {
             fn append(&mut self, _: &JournalRecord) -> std::io::Result<()> {
                 Ok(())
             }
-            fn sync(&mut self) -> std::io::Result<()> {
-                Ok(())
+            fn syncer(&self) -> Box<dyn LogSync> {
+                Box::new(NullSink)
             }
             fn snapshot(&mut self, _: &[u8]) -> std::io::Result<()> {
                 Ok(())

@@ -21,6 +21,9 @@
 //!   executable proof of what information crosses each trust boundary.
 //! * [`metrics`] — QoS/performance instrumentation used by every
 //!   experiment (cloak areas, candidate-set sizes, latencies).
+//! * [`group_commit`] — the WAL group-commit point: a durable engine
+//!   crossing stages under the engine lock and waits for its fsync
+//!   after releasing it.
 //! * [`locks`] — the ordered lock registry plus order-checked
 //!   `TrackedMutex`/`TrackedRwLock` wrappers (debug builds panic on
 //!   lock-order inversions and record hold-time histograms).
@@ -31,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod group_commit;
 // Journal payloads are re-read from disk during recovery — exactly as
 // untrusted as network bytes, so the wire rules apply.
 #[deny(clippy::cast_possible_truncation, clippy::indexing_slicing)]
@@ -52,6 +56,7 @@ pub mod wire;
 pub use engine::{
     EngineConfig, ExecutionMode, RangeQueryAnswer, ReplayScheduler, ShardedEngine, WorkerPool,
 };
+pub use group_commit::{CommitTicket, LogSync};
 pub use journal::{Durability, DurabilitySink, EngineOp, EngineState, JournalRecord};
 pub use locks::{LockRank, TrackedMutex, TrackedRwLock};
 pub use obs::{Histogram, HistogramSnapshot, MetricsRegistry, RegistrySnapshot, Stage};

@@ -37,7 +37,7 @@ use std::fmt;
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Number of declared lock ranks.
-pub const LOCK_RANK_COUNT: usize = 14;
+pub const LOCK_RANK_COUNT: usize = 15;
 
 /// The ordered lock registry. Declaration order *is* acquisition order:
 /// a thread holding a lock of some rank may only acquire locks of equal
@@ -89,6 +89,11 @@ pub enum LockRank {
     /// `lbsp-core`: phase-result collection sinks (row results,
     /// per-shard query answers, counters).
     ResultSink,
+    /// `lbsp-core`: the WAL group-commit leader lock, held across one
+    /// log sync. Ranked after `Engine` (and last) because a segment
+    /// rotation swaps the synced file while the engine is held; a
+    /// waiter holding it acquires nothing else.
+    WalCommit,
 }
 
 impl LockRank {
@@ -108,6 +113,7 @@ impl LockRank {
         LockRank::PrivateShard,
         LockRank::PublicShard,
         LockRank::ResultSink,
+        LockRank::WalCommit,
     ];
 
     /// The rank's position in the registry order.
@@ -132,6 +138,7 @@ impl LockRank {
             LockRank::PrivateShard => "PrivateShard",
             LockRank::PublicShard => "PublicShard",
             LockRank::ResultSink => "ResultSink",
+            LockRank::WalCommit => "WalCommit",
         }
     }
 }

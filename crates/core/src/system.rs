@@ -1,5 +1,6 @@
 //! The end-to-end privacy-aware system (Fig. 1).
 
+use crate::group_commit::CommitTicket;
 use crate::journal::{Durability, DurabilitySink, DurableHook, EngineOp, JournalRecord};
 use crate::metrics::SystemMetrics;
 use crate::obs::{MetricsRegistry, Stage};
@@ -112,8 +113,7 @@ impl<A: CloakingAlgorithm> PrivacyAwareSystem<A> {
         };
         hook.append(&JournalRecord::Op(build()), &self.obs)
             .expect("durability: WAL append failed");
-        hook.commit(&self.obs)
-            .expect("durability: WAL fsync failed");
+        CommitTicket::new(hook.commit_point()).wait_durable(&self.obs);
     }
 
     /// Re-applies one journaled mutation during recovery (before any

@@ -117,6 +117,40 @@ fn lock_graph_catches_rank_cycle() {
 }
 
 #[test]
+fn lock_graph_catches_engine_taken_under_the_commit_lock() {
+    let src = fixture("bad_commit_cycle.rs");
+    let rel = "crates/core/src/group_commit.rs";
+    let a = analyze(&[(rel, &src)]);
+
+    let lo: Vec<_> = a
+        .findings
+        .iter()
+        .filter(|f| f.rule == "lock-order")
+        .collect();
+    assert!(
+        lo.iter().any(|f| f.file == rel
+            && f.line == 29
+            && f.message.contains("acquires `Engine`")
+            && f.message.contains("holding `WalCommit`")),
+        "engine acquisition under the commit lock pinned at group_commit.rs:29: {lo:?}"
+    );
+    assert!(
+        lo.iter().any(|f| f.message.contains("lock-rank cycle")
+            && f.message.contains("Engine")
+            && f.message.contains("WalCommit")),
+        "cycle reported with both ranks: {lo:?}"
+    );
+    // The rotation edge alone is in declared order.
+    assert!(
+        a.lock_edges
+            .iter()
+            .any(|e| e.from == "Engine" && e.to == "WalCommit"),
+        "Engine→WalCommit edge derived: {:?}",
+        a.lock_edges
+    );
+}
+
+#[test]
 fn wire_conformance_catches_registry_and_dispatch_drift() {
     // A mini server whose handle_request only dispatches REGISTER, so
     // the two 0x02 tags are both undispatched *and* one duplicates the
@@ -198,6 +232,14 @@ fn workspace_proofs_are_not_vacuous() {
             .iter()
             .any(|e| e.from == "Engine" || e.to == "Engine"),
         "the engine participates in the graph: {:?}",
+        a.lock_edges
+    );
+    // A segment rotation under the engine swaps the group-commit file.
+    assert!(
+        a.lock_edges
+            .iter()
+            .any(|e| e.from == "Engine" && e.to == "WalCommit"),
+        "the commit lock is ordered after the engine: {:?}",
         a.lock_edges
     );
 

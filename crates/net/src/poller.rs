@@ -16,9 +16,13 @@
 //! where it stopped. Frames completed during one read sweep are
 //! collected in arrival order and processed together: contiguous runs
 //! of `EXACT_UPDATE` frames — the hot path of the paper's workload —
-//! become *one* `process_updates_and_drain` engine crossing, so a
+//! become *one* `stage_updates_and_drain` engine crossing, so a
 //! single lock acquisition and one WAL fsync amortize every update the
 //! sweep found ready (see `handle_update_batch` in the server module).
+//! On a durable engine the shard waits for that fsync after releasing
+//! the engine lock, so another shard's crossing runs while this one's
+//! records reach the disk; no reply or standing delta leaves before
+//! every record behind the state it reflects is durable.
 //!
 //! Fairness: the read sweep starts at a rotating offset and takes at
 //! most [`FRAMES_PER_SWEEP`] frames per connection per sweep, so one

@@ -11,14 +11,17 @@
 //!   nonblocking connections and run the readiness loop in
 //!   [`crate::poller`]: sweep for readable bytes, batch the ready
 //!   frames into the shared [`ShardedEngine`] (contiguous
-//!   `EXACT_UPDATE` runs become one `process_updates_and_drain`
+//!   `EXACT_UPDATE` runs become one `stage_updates_and_drain`
 //!   crossing), and write replies as the sockets accept them. The
 //!   engine is the same deterministic sharded engine the in-process
 //!   pipeline uses, behind one mutex — requests from one connection are
 //!   processed in arrival order, which is what makes the network path
 //!   byte-identical to the in-process path for a closed-loop client.
 //!   Idle connections cost a nonblocking read per shard sweep, not a
-//!   blocked thread plus a 25 ms wakeup each.
+//!   blocked thread plus a 25 ms wakeup each. On a durable engine a
+//!   shard stages its crossing under the mutex and waits for the WAL
+//!   fsync after releasing it; no reply or delta leaves before every
+//!   record behind the state it reflects is durable.
 //! * **Outbound queues** — each connection's replies queue on its
 //!   shard, bounded by `outbound_bound`. A consumer that stops reading
 //!   stalls its socket write (bounded by `write_timeout`) and then its
@@ -36,7 +39,8 @@ use crate::frame::{Frame, MAX_FRAME_LEN};
 use lbsp_anonymizer::{CloakRequirement, PrivacyProfile};
 use lbsp_core::metrics::NetCounters;
 use lbsp_core::{
-    wire, Durability, EngineConfig, LockRank, MetricsRegistry, ShardedEngine, TrackedMutex,
+    wire, CommitTicket, Durability, EngineConfig, LockRank, MetricsRegistry, ShardedEngine,
+    TrackedMutex,
 };
 use lbsp_geom::SimTime;
 use std::collections::{HashMap, HashSet};
@@ -368,7 +372,7 @@ fn subscribe(subs: &SharedSubs, conn_id: u64, key: (u8, u64)) {
 /// from one poller sweep, each tagged with the connection it arrived
 /// on — through a *single* engine crossing, and routes the results.
 ///
-/// Rows are fed to `process_updates_and_drain` in arrival order, so for a
+/// Rows are fed to `stage_updates_and_drain` in arrival order, so for a
 /// closed-loop client (at most one update in flight per connection)
 /// the cloaked bytes are identical to processing each frame alone —
 /// a batch of one *is* the old per-frame call. A client that pipelines
@@ -377,10 +381,13 @@ fn subscribe(subs: &SharedSubs, conn_id: u64, key: (u8, u64)) {
 /// final position in the batch, exactly as the in-process pipeline's
 /// batched reference does.
 ///
-/// On a durable engine the crossing appends two journal records, the
-/// `UpdateBatch` then its `TakeStandingChanges` drain, and commits both
-/// with one fsync before the engine lock is released — so before any
-/// reply or delta is emitted.
+/// On a durable engine the crossing is staged under the engine lock —
+/// two journal records, the `UpdateBatch` then its
+/// `TakeStandingChanges` drain, appended and applied — and made durable
+/// after the lock is released, by one group-commit sync that covers
+/// them. Nothing below leaves, to the batch's connections or to other
+/// subscribers, until that wait returns, so another connection's
+/// crossing runs while this one's sync is on the disk.
 ///
 /// Standing-query changes are captured once, after the whole batch,
 /// while the engine is still locked. Deltas for connections *in* the
@@ -419,16 +426,16 @@ pub(crate) fn handle_update_batch(
     }
     // One lock and one engine crossing for the whole run: the update
     // batch and its standing-change drain are two journal records
-    // committed by one fsync, which lands before the lock is released
-    // and so before any reply or delta below leaves. The wire state of
-    // every standing query the batch changed is read while the engine
-    // is still locked: a delta is exactly the state right after this
+    // staged under the lock and made durable after it is released, and
+    // before any reply or delta below leaves. The wire state of every
+    // standing query the batch changed is read while the engine is
+    // still locked: a delta is exactly the state right after this
     // batch, before any later request.
-    let (out, deltas) = if rows.is_empty() {
-        (Vec::new(), Vec::new())
+    let (out, deltas, ticket) = if rows.is_empty() {
+        (Vec::new(), Vec::new(), CommitTicket::default())
     } else {
         let mut eng = engine.lock();
-        let (out, changed) = eng.process_updates_and_drain(&rows);
+        let ((out, changed), ticket) = eng.stage_updates_and_drain(&rows);
         let mut deltas: Vec<((u8, u64), Vec<u8>)> = Vec::with_capacity(changed.len());
         for (kind, id) in changed {
             if let Some(state) = eng.standing_state(kind, id) {
@@ -440,8 +447,9 @@ pub(crate) fn handle_update_batch(
         }
         NetCounters::add(&counters.engine_batches, 1);
         obs.net_batch_size().record(rows.len() as f64);
-        (out, deltas)
+        (out, deltas, ticket)
     };
+    ticket.wait_durable(obs);
     let mut emitted: Vec<(u64, Outbound)> = Vec::with_capacity(slots.len() + deltas.len());
     if !deltas.is_empty() {
         let batch_conns: HashSet<u64> = slots.iter().map(|&(cid, _)| cid).collect();
@@ -561,7 +569,14 @@ pub(crate) fn handle_request(
                 NetCounters::add(&counters.frames_rejected, 1);
                 return err("malformed query payload".into());
             };
-            let ans = engine.lock().range_query(msg.user, msg.time, msg.radius);
+            let (ans, ticket) = {
+                let eng = engine.lock();
+                let ans = eng.range_query(msg.user, msg.time, msg.radius);
+                (ans, eng.commit_ticket())
+            };
+            // The answer may reflect another connection's staged update:
+            // it leaves only once that update's records are durable.
+            ticket.wait_durable(obs);
             match ans {
                 Ok(a) => vec![(wire::tag::CANDIDATES, a.response.to_vec())],
                 Err(e) => err(e.to_string()),
@@ -610,7 +625,12 @@ pub(crate) fn handle_request(
                 NetCounters::add(&counters.frames_rejected, 1);
                 return err("malformed standing-query reference".into());
             };
-            match engine.lock().standing_state(msg.kind, msg.id) {
+            let (state, ticket) = {
+                let eng = engine.lock();
+                (eng.standing_state(msg.kind, msg.id), eng.commit_ticket())
+            };
+            ticket.wait_durable(obs);
+            match state {
                 Some(state) => vec![(
                     wire::tag::STANDING_STATE,
                     wire::encode_standing_state(&state).to_vec(),
@@ -691,7 +711,11 @@ pub(crate) fn handle_request(
                 NetCounters::add(&counters.frames_rejected, 1);
                 return err("malformed resync-pull payload".into());
             }
-            let state = engine.lock().resync_export();
+            let (state, ticket) = {
+                let eng = engine.lock();
+                (eng.resync_export(), eng.commit_ticket())
+            };
+            ticket.wait_durable(obs);
             vec![(
                 wire::tag::RESYNC_STATE,
                 wire::encode_resync_state(&state).to_vec(),

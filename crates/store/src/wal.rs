@@ -25,10 +25,11 @@
 
 use crate::{corrupt, Result, StoreError};
 use lbsp_core::journal::{encode_record, JournalRecord};
-use lbsp_core::DurabilitySink;
+use lbsp_core::{DurabilitySink, LogSync};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Leading magic of every segment file.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"LBSPWAL1";
@@ -109,10 +110,13 @@ fn sync_dir(dir: &Path) -> std::io::Result<()> {
 
 /// The live WAL writer for one log directory. Owns the current segment;
 /// implements [`DurabilitySink`] so a [`lbsp_core::ShardedEngine`] or
-/// [`lbsp_core::PrivacyAwareSystem`] journals straight into it.
+/// [`lbsp_core::PrivacyAwareSystem`] journals straight into it. The
+/// segment file is shared with the sync handles the engine's
+/// group commit ([`lbsp_core::group_commit`]) uses, so a sync never
+/// needs the writer.
 pub struct Wal {
     dir: PathBuf,
-    file: File,
+    file: Arc<File>,
     seg_seq: u64,
     /// Global index of the next record to append (record 0 is the
     /// journal's init record).
@@ -150,7 +154,7 @@ impl Wal {
         sync_dir(dir)?;
         Ok(Wal {
             dir: dir.to_path_buf(),
-            file,
+            file: Arc::new(file),
             seg_seq: seq,
             next_index: base,
         })
@@ -188,7 +192,7 @@ impl Wal {
         frame.extend_from_slice(&len.to_le_bytes());
         frame.extend_from_slice(&crc32(&body).to_le_bytes());
         frame.extend_from_slice(&body);
-        self.file.write_all(&frame)?;
+        (&*self.file).write_all(&frame)?;
         self.next_index = self.next_index.saturating_add(1);
         Ok(())
     }
@@ -273,12 +277,21 @@ impl DurabilitySink for Wal {
         self.append_record(rec)
     }
 
-    fn sync(&mut self) -> std::io::Result<()> {
-        self.sync_log()
+    fn syncer(&self) -> Box<dyn LogSync> {
+        Box::new(SegmentSync(Arc::clone(&self.file)))
     }
 
     fn snapshot(&mut self, state: &[u8]) -> std::io::Result<()> {
         self.install_snapshot(state)
+    }
+}
+
+/// Syncs one segment file without the [`Wal`] that appends to it.
+struct SegmentSync(Arc<File>);
+
+impl LogSync for SegmentSync {
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.0.sync_data()
     }
 }
 

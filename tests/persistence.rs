@@ -10,6 +10,9 @@
 //!
 //! A durable network server is also pinned to one WAL fsync per update
 //! request, and its log must bring back the same answers on restart.
+//! Its syncs run after the engine lock is released, so it is also held
+//! to the read rule: no reply leaves before every record behind the
+//! state it reflects is durable.
 
 use privacy_lbs::anonymizer::{CloakRequirement, PrivacyProfile, QuadCloak};
 use privacy_lbs::geom::{Point, Rect, SimTime};
@@ -19,12 +22,13 @@ use privacy_lbs::store::{open_engine, open_system, recover_engine, Wal};
 use privacy_lbs::system::journal;
 use privacy_lbs::system::wire::{self, StandingKind};
 use privacy_lbs::system::{
-    Durability, EngineConfig, EngineOp, JournalRecord, MobileUser, PrivacyAwareSystem,
-    ShardedEngine, Stage, UserId,
+    Durability, DurabilitySink, EngineConfig, EngineOp, JournalRecord, LogSync, MobileUser,
+    PrivacyAwareSystem, ShardedEngine, Stage, UserId,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
@@ -399,4 +403,139 @@ fn durable_server_fsyncs_once_per_update_and_recovers_identically() {
     assert_eq!(report.users, 32);
     let mut client = connect(&server);
     assert_eq!(probe_replies(&mut client), probes);
+}
+
+/// An in-memory journal whose next sync, once armed, announces that it
+/// started and then blocks until the test releases it.
+#[derive(Clone, Default)]
+struct HeldSync {
+    gate: Arc<(Mutex<Hold>, Condvar)>,
+}
+
+#[derive(Default)]
+struct Hold {
+    armed: bool,
+    holding: bool,
+    released: bool,
+}
+
+impl HeldSync {
+    fn update(&self, change: impl FnOnce(&mut Hold)) {
+        let (lock, cv) = &*self.gate;
+        change(&mut lock.lock().unwrap());
+        cv.notify_all();
+    }
+
+    fn wait_until_holding(&self) {
+        let (lock, cv) = &*self.gate;
+        let (hold, timeout) = cv
+            .wait_timeout_while(lock.lock().unwrap(), Duration::from_secs(10), |h| {
+                !h.holding
+            })
+            .unwrap();
+        assert!(
+            !timeout.timed_out() && hold.holding,
+            "the update never synced"
+        );
+    }
+}
+
+struct ReleaseOnDrop(HeldSync);
+
+impl Drop for ReleaseOnDrop {
+    fn drop(&mut self) {
+        self.0.update(|h| h.released = true);
+    }
+}
+
+impl LogSync for HeldSync {
+    fn sync(&mut self) -> std::io::Result<()> {
+        let (lock, cv) = &*self.gate;
+        let mut hold = lock.lock().unwrap();
+        if std::mem::take(&mut hold.armed) {
+            hold.holding = true;
+            cv.notify_all();
+            while !hold.released {
+                hold = cv.wait(hold).unwrap();
+            }
+        }
+        Ok(())
+    }
+}
+
+impl DurabilitySink for HeldSync {
+    fn append(&mut self, _: &JournalRecord) -> std::io::Result<()> {
+        Ok(())
+    }
+    fn syncer(&self) -> Box<dyn LogSync> {
+        Box::new(self.clone())
+    }
+    fn snapshot(&mut self, _: &[u8]) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn no_reply_leaves_before_the_state_it_saw_is_durable() {
+    let moved = (5u64, Point::new(0.52, 0.48), SimTime::from_secs(50.0));
+    let (querier, radius, at) = (9u64, 0.25, SimTime::from_secs(50.0));
+
+    let mut reference = ShardedEngine::new(EngineConfig::new(world()), 2);
+    phase_before(&mut reference);
+    let expect_update = match &reference.process_updates(&[moved])[..] {
+        [Ok(update)] => wire::encode_cloaked_update(update).to_vec(),
+        other => panic!("reference update: {other:?}"),
+    };
+    let expect_query = reference
+        .range_query(querier, at, radius)
+        .expect("querier has a cloak")
+        .response
+        .to_vec();
+
+    let sink = HeldSync::default();
+    let mut engine = ShardedEngine::new(EngineConfig::new(world()), 2);
+    engine.attach_durability(Durability::default(), Box::new(sink.clone()));
+    phase_before(&mut engine);
+    // Two poller shards, one connection each: B's query is not queued
+    // behind A's update on the same shard thread.
+    let server = NetServer::bind("127.0.0.1:0", engine, NetConfig::with_workers(2)).expect("bind");
+    let connect = || {
+        let mut client = NetClient::connect(server.local_addr()).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        assert!(matches!(client.ping(b"up"), Ok(Reply::Pong(_))));
+        client
+    };
+    let (mut a, mut b) = (connect(), connect());
+    // Dropped before the server, so a failed assertion releases the
+    // held sync instead of hanging the shutdown.
+    let _release = ReleaseOnDrop(sink.clone());
+
+    // A's update is staged and applied, then its sync is held open.
+    sink.update(|h| h.armed = true);
+    let updater = std::thread::spawn(move || a.update(moved.0, moved.1, moved.2));
+    sink.wait_until_holding();
+
+    // B's query sees the state A's update produced, so its reply must
+    // wait for A's records.
+    let (tx, rx) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let _ = tx.send(b.range_query(querier, radius, at));
+    });
+    assert!(
+        rx.recv_timeout(Duration::from_millis(300)).is_err(),
+        "a query reply left while the update it reflects was not durable"
+    );
+
+    sink.update(|h| h.released = true);
+    let query = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("query reply after the sync")
+        .expect("query round trip");
+    let update = updater.join().unwrap().expect("update round trip");
+    reader.join().unwrap();
+    assert_eq!(update, Reply::Cloaked(expect_update));
+    assert_eq!(query, Reply::Candidates(expect_query));
+    drop(server.shutdown());
 }
